@@ -142,26 +142,26 @@ func gemmPacked[T Float](transA, transB Transpose, m, n, k int, alpha T, a []T, 
 	mc, kc, nc := p.MC, p.KC, p.NC
 
 	kcEff := min(kc, k)
-	aBuf := getScratch[T](roundUp(min(mc, m), mr) * kcEff)
-	bBuf := getScratch[T](kcEff * roundUp(min(nc, n), nr))
+	aBuf := GetScratch[T](roundUp(min(mc, m), mr) * kcEff)
+	bBuf := GetScratch[T](kcEff * roundUp(min(nc, n), nr))
 	// Edge-tile scratch lives in the pool too: a local array would escape
 	// through the kern indirect call and cost one heap allocation per call.
-	tBuf := getScratch[T](maxMR * maxNR)
+	tBuf := GetScratch[T](maxMR * maxNR)
 	for jc := 0; jc < n; jc += nc {
 		nb := min(nc, n-jc)
 		for pc := 0; pc < k; pc += kc {
 			kb := min(kc, k-pc)
-			packB(transB, kb, nb, b, ldb, pc, jc, nr, bBuf.buf)
+			packB(transB, kb, nb, b, ldb, pc, jc, nr, bBuf.Buf)
 			for ic := 0; ic < m; ic += mc {
 				mb := min(mc, m-ic)
-				packA(transA, mb, kb, a, lda, ic, pc, mr, aBuf.buf)
-				macroKernel(mb, nb, kb, mr, nr, alpha, aBuf.buf, bBuf.buf, c[ic+jc*ldc:], ldc, kern, tBuf.buf)
+				packA(transA, mb, kb, a, lda, ic, pc, mr, aBuf.Buf)
+				macroKernel(mb, nb, kb, mr, nr, alpha, aBuf.Buf, bBuf.Buf, c[ic+jc*ldc:], ldc, kern, tBuf.Buf)
 			}
 		}
 	}
-	aBuf.release()
-	bBuf.release()
-	tBuf.release()
+	aBuf.Release()
+	bBuf.Release()
+	tBuf.Release()
 }
 
 // macroKernel sweeps the register tiles of one packed mb×kb × kb×nb block
@@ -305,8 +305,8 @@ func gemmTN[T Float](m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T
 func gemmTT[T Float](m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T, ldc int) {
 	// C[i,j] = α Σ_l A[l,i]·B[j,l]. Iterate i over columns of A
 	// (contiguous), then l down that column, scattering into row i of C.
-	rowBuf := getScratch[T](n)
-	row := rowBuf.buf
+	rowBuf := GetScratch[T](n)
+	row := rowBuf.Buf
 	for i := 0; i < m; i++ {
 		acol := a[i*lda : i*lda+k]
 		for j := range row {
@@ -322,5 +322,5 @@ func gemmTT[T Float](m, n, k int, alpha T, a []T, lda int, b []T, ldb int, c []T
 			c[i+j*ldc] += alpha * v
 		}
 	}
-	rowBuf.release()
+	rowBuf.Release()
 }

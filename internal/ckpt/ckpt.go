@@ -68,7 +68,10 @@ type Checkpoint struct {
 }
 
 var (
-	magic = [8]byte{'E', 'X', 'A', 'D', 'L', 'A', 'C', '1'}
+	// magic tags the format version. Version 2 changed the LU StackL
+	// layout (inner-blocked tstrf: ib×nb inverse blocks instead of the
+	// stacked factor), so a version-1 file no longer resumes correctly.
+	magic = [8]byte{'E', 'X', 'A', 'D', 'L', 'A', 'C', '2'}
 
 	// ErrNoCheckpoint is returned by Latest when the directory holds no
 	// loadable checkpoint.
@@ -251,6 +254,9 @@ func Decode(rd io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("ckpt: reading header: %w", err)
 	}
 	if !bytes.Equal(hdr[:8], magic[:]) {
+		if bytes.Equal(hdr[:7], magic[:7]) {
+			return nil, fmt.Errorf("ckpt: unsupported format version %q (want %q)", hdr[7], magic[7])
+		}
 		return nil, errors.New("ckpt: bad magic")
 	}
 	plen := binary.LittleEndian.Uint64(hdr[8:])

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -144,6 +145,35 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsFormatV1: a checkpoint written in the version-1 format
+// (EXADLAC1 header: the stacked LU elimination layout) must be refused
+// with an error, never resumed into a wrong factor — and Latest must skip
+// it rather than return it.
+func TestDecodeRejectsFormatV1(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	c := sampleCheckpoint(rng, OpLU, 8, 8, 4, 1)
+	var buf bytes.Buffer
+	if err := Encode(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte(nil), buf.Bytes()...)
+	copy(old[:8], "EXADLAC1")
+	_, err := Decode(bytes.NewReader(old))
+	if err == nil {
+		t.Fatal("EXADLAC1 checkpoint decoded successfully")
+	}
+	if !strings.Contains(err.Error(), "version") {
+		t.Errorf("EXADLAC1 rejection %q does not name the format version", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, fileName(1)), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Latest(dir); err != ErrNoCheckpoint {
+		t.Errorf("Latest over an EXADLAC1 file = %v, want ErrNoCheckpoint", err)
+	}
+}
+
 func TestSaveLatestSkipsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(3))
@@ -204,7 +234,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	f.Add([]byte("EXADLAC1"))
+	f.Add(magic[:])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Decode(bytes.NewReader(data))
 		if err != nil {

@@ -219,8 +219,8 @@ func TestResilientLUSilentLossCaughtBySweep(t *testing.T) {
 	_, err := core.ResilientLU(r, a, core.FTOptions{
 		Erasure: true,
 		Stats:   &stats,
-		// (3,0) is finalized by its step-0 tstrf and never read again by
-		// the factorization (ssssm consumes the L stack copy, not A(i,k)).
+		// (3,0) is finalized by its step-0 tstrf and read only by that
+		// step's ssssm tasks, which the loss at step 2 is ordered after.
 		LoseTiles: []core.TileLoss{{Step: 2, I: 3, J: 0, Silent: true}},
 	})
 	if err != nil {

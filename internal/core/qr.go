@@ -115,17 +115,19 @@ func submitQR[F blas.Float](s sched.Scheduler, f *QRFactors[F], forkJoin bool) {
 // block-reflector triangular factor T (k×k, k = min(m, n)).
 func geqrt[F blas.Float](m, n int, a []F, lda int, t []F, ldt int) {
 	k := min(m, n)
-	tau := make([]F, k)
-	work := make([]F, n)
+	w := blas.GetScratch[F](k + n)
+	tau, work := w.Buf[:k], w.Buf[k:]
 	lapack.Geqr2(m, n, a, lda, tau, work)
 	lapack.Larft(m, k, a, lda, tau, t, ldt)
+	w.Release()
 }
 
 // unmqr applies Qᵀ from a geqrt-factored tile (k reflectors in v, factor t)
 // to the m×n tile c.
 func unmqr[F blas.Float](m, n, k int, v []F, ldv int, t []F, ldt int, c []F, ldc int) {
-	work := make([]F, n*k)
-	lapack.Larfb(blas.Left, blas.Trans, m, n, k, v, ldv, t, ldt, c, ldc, work)
+	work := blas.GetScratch[F](n * k)
+	lapack.Larfb(blas.Left, blas.Trans, m, n, k, v, ldv, t, ldt, c, ldc, work.Buf)
+	work.Release()
 }
 
 // tsqrt computes the structured QR factorization of the (n+m2)×n stacked
@@ -135,7 +137,9 @@ func unmqr[F blas.Float](m, n, k int, v []F, ldv int, t []F, ldt int, c []F, ldc
 // top parts are implicit identity columns), and t holds the n×n triangular
 // block-reflector factor.
 func tsqrt[F blas.Float](n, m2 int, r []F, ldr int, a2 []F, lda2 int, t []F, ldt int) {
-	w := make([]F, n)
+	ws := blas.GetScratch[F](n)
+	defer ws.Release()
+	w := ws.Buf
 	for j := 0; j < n; j++ {
 		// Reflector zeroing A2[:, j] against R[j, j].
 		beta, tau := lapack.Larfg(1+m2, r[j+j*ldr], a2[j*lda2:j*lda2+m2], 1)
@@ -173,7 +177,9 @@ func tsmqr[F blas.Float](trans blas.Transpose, k, m2, n int, v2 []F, ldv2 int, t
 		return
 	}
 	// W = C1 + V2ᵀ·C2 (k×n).
-	w := make([]F, k*n)
+	ws := blas.GetScratch[F](k * n)
+	defer ws.Release()
+	w := ws.Buf
 	lapack.Lacpy(lapack.General, k, n, c1, ldc1, w, k)
 	blas.Gemm(blas.Trans, blas.NoTrans, k, n, m2, 1, v2, ldv2, c2, ldc2, 1, w, k)
 	// W ← op(T)·W: Tᵀ for Qᵀ, T for Q.

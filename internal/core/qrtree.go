@@ -181,7 +181,9 @@ func applyQTTree[F blas.Float](s sched.Scheduler, f *QRFactors[F], b *tile.Matri
 // On return R1 holds the merged R, R2's upper region holds the merge
 // reflector tails, and t holds the n×n block-reflector factor.
 func ttqrt[F blas.Float](n, m2 int, r1 []F, ldr1 int, r2 []F, ldr2 int, t []F, ldt int) {
-	w := make([]F, n)
+	ws := blas.GetScratch[F](n)
+	defer ws.Release()
+	w := ws.Buf
 	for j := 0; j < n; j++ {
 		lenj := min(j+1, m2)
 		beta, tau := lapack.Larfg(1+lenj, r1[j+j*ldr1], r2[j*ldr2:j*ldr2+lenj], 1)
@@ -225,7 +227,9 @@ func ttmqr[F blas.Float](trans blas.Transpose, n, m2, nc int, r2 []F, ldr2 int, 
 	}
 	// W = C1[0:n] + V2ᵀ·C2[0:m2], accumulating row j of W from the stored
 	// tail of reflector j (rows 0..min(j, m2-1) of R2's column j).
-	w := make([]F, n*nc)
+	ws := blas.GetScratch[F](n * nc)
+	defer ws.Release()
+	w := ws.Buf
 	lapack.Lacpy(lapack.General, n, nc, c1, ldc1, w, n)
 	for j := 0; j < n; j++ {
 		lenj := min(j+1, m2)

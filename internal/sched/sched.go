@@ -675,6 +675,11 @@ func (r *Runtime) WaitErr() error {
 	for r.inFlight > 0 {
 		r.cond.Wait()
 	}
+	// Drained: every node is done, so no later task can take a scheduling
+	// dependence on one. Forgetting the access frontier lets a long-lived
+	// runtime release finished tasks — and the tiles their closures and
+	// handles hold — instead of keeping one entry per handle ever seen.
+	clear(r.last)
 	fs := r.failures
 	sk := r.skipped
 	r.failures = nil

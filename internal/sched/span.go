@@ -69,7 +69,8 @@ type Span struct {
 	// Attempt is the 1-based attempt number (0 for skipped tasks).
 	Attempt int
 	// Deps are the IDs of the tasks this task depends on (RAW/WAR/WAW
-	// edges derived at submission, deduplicated).
+	// edges derived at submission, deduplicated). Edges stay within one
+	// Wait epoch: a drained Wait/WaitErr forgets the access frontier.
 	Deps []int
 	// Ready is when the attempt was enqueued on the ready queue; Start-Ready
 	// is the attempt's queue wait. Zero when unknown.

@@ -53,14 +53,18 @@ func (s *Server) flushBatch(rt *sched.Runtime, jobs []*job) {
 }
 
 // runBatchGroup factors every operator in the group through one batched
-// submission, then back-substitutes each job's right-hand side in place.
+// submission, then back-substitutes each job's right-hand side. Both are
+// job-owned copies (cheap at n ≤ SmallCutoff): the caller's spec slices
+// stay untouched, and a spec submitted twice is solved twice correctly.
 // The batched kernels already isolate per-problem panics; the triangular
 // solves get the same treatment here, so one malformed problem fails alone.
 func (s *Server) runBatchGroup(rt *sched.Runtime, k batchKey, group []*job) {
 	n := k.n
 	mats := make([][]float64, len(group))
+	rhs := make([][]float64, len(group))
 	for i, j := range group {
-		mats[i] = j.spec.A
+		mats[i] = append([]float64(nil), j.spec.A...)
+		rhs[i] = append([]float64(nil), j.spec.B...)
 	}
 	var pivs [][]int
 	var errs []error
@@ -81,14 +85,14 @@ func (s *Server) runBatchGroup(rt *sched.Runtime, k batchKey, group []*job) {
 				}
 			}()
 			if k.lu {
-				lapack.Getrs(blas.NoTrans, n, j.spec.NRHS, mats[i], n, pivs[i], j.spec.B, n)
+				lapack.Getrs(blas.NoTrans, n, j.spec.NRHS, mats[i], n, pivs[i], rhs[i], n)
 			} else {
-				lapack.Potrs(blas.Lower, n, j.spec.NRHS, mats[i], n, j.spec.B, n)
+				lapack.Potrs(blas.Lower, n, j.spec.NRHS, mats[i], n, rhs[i], n)
 			}
 			return nil
 		}()
 		if err == nil {
-			j.result.Store(j.spec.B)
+			j.result.Store(rhs[i])
 			s.met.batchJobs.Inc()
 		}
 		j.tasksDone.Store(1) // the fused submission, from this job's view

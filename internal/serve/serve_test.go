@@ -361,6 +361,54 @@ func TestBatchedFastPathFusesJobs(t *testing.T) {
 	}
 }
 
+// TestBatchedPathDoesNotAliasCallerSlices: the batched fast path must factor
+// and solve job-owned copies. Submitting the same JobSpec twice — one A and
+// one B slice shared by both jobs — must give two correct answers, leave
+// the caller's slices as they were, and return results that are not the
+// caller's B.
+func TestBatchedPathDoesNotAliasCallerSlices(t *testing.T) {
+	s, err := New(Config{Lanes: 1, Workers: 2, TileSize: 16,
+		SmallCutoff: 16, BatchMax: 8, BatchWait: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(12))
+	n := 8
+	for _, op := range []Op{OpSolveSPD, OpSolveLU} {
+		a := matgen.DiagDomSPD[float64](rng, n)
+		b := matgen.Dense[float64](rng, n, 1)
+		a0, b0 := clone(a), clone(b)
+		spec := JobSpec{Op: op, N: n, NRHS: 1, A: a, B: b}
+		ids := []string{mustSubmit(t, s, "t0", spec), mustSubmit(t, s, "t0", spec)}
+		for i, id := range ids {
+			if st := waitDone(t, s, id); !st.Batched {
+				t.Fatalf("%s job %d took the lane path; SmallCutoff routing broken", op, i)
+			}
+			x, err := s.Result(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := residual(n, 1, a0, x, b0); r > 1e-9 {
+				t.Errorf("%s job %d: residual %g", op, i, r)
+			}
+			if &x[0] == &b[0] {
+				t.Errorf("%s job %d: result aliases the caller's B", op, i)
+			}
+		}
+		for i := range a {
+			if a[i] != a0[i] {
+				t.Fatalf("%s: caller's A modified at %d", op, i)
+			}
+		}
+		for i := range b {
+			if b[i] != b0[i] {
+				t.Fatalf("%s: caller's B modified at %d", op, i)
+			}
+		}
+	}
+}
+
 func TestBatchedPathIsolatesBadProblem(t *testing.T) {
 	s, err := New(Config{Lanes: 1, Workers: 2, TileSize: 16,
 		SmallCutoff: 16, BatchMax: 32, BatchWait: 5 * time.Millisecond})
