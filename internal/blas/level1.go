@@ -94,6 +94,20 @@ func Axpy[T Float](n int, alpha T, x []T, incX int, y []T, incY int) {
 	}
 }
 
+// axpyUnit computes y[i] += α·x[i] for i < len(x) (len(y) ≥ len(x)): the
+// unit-stride inner loop of the level-2 updates, on the AVX2+FMA assembly
+// kernel for float64 when the CPU has it.
+func axpyUnit[T Float](alpha T, x, y []T) {
+	if haveAvx2Fma && is64[T]() {
+		axpyF64Avx(float64(alpha), any(x).([]float64), any(y[:len(x)]).([]float64))
+		return
+	}
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] += alpha * v
+	}
+}
+
 // Scal computes x ← αx for an n-vector x.
 func Scal[T Float](n int, alpha T, x []T, incX int) {
 	checkVector("x", n, x, incX)

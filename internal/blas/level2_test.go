@@ -67,6 +67,87 @@ func TestGer(t *testing.T) {
 	}
 }
 
+// TestGerShapesAndStrides covers the rank-1 update's vector tails (row
+// counts around multiples of 4), strided y, and its zero-multiplier rule:
+// a column whose α·y[j] is exactly zero is skipped, so an Inf in x leaves
+// it untouched, while a NaN multiplier still propagates.
+func TestGerShapesAndStrides(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, m := range []int{0, 1, 3, 4, 5, 15, 16, 17, 33} {
+		for _, n := range []int{1, 3, 6} {
+			for _, incY := range []int{1, 3, -2} {
+				lda := m + 2
+				a := randMat(rng, m, n, lda)
+				aRef := append([]float64(nil), a...)
+				x := randSlice(rng, m)
+				ay := incY
+				if ay < 0 {
+					ay = -ay
+				}
+				y := randSlice(rng, (n-1)*ay+1)
+				iy := func(j int) int {
+					if incY < 0 {
+						return (n - 1 - j) * ay
+					}
+					return j * ay
+				}
+				y[iy(n/2)] = 0
+				Ger(m, n, -0.75, x, 1, y, incY, a, lda)
+				for j := 0; j < n; j++ {
+					for i := 0; i < m; i++ {
+						aRef[i+j*lda] += -0.75 * y[iy(j)] * x[i]
+					}
+				}
+				if d := maxAbsDiff(a, aRef); d > tol64 {
+					t.Errorf("Ger m=%d n=%d incY=%d: max diff %g", m, n, incY, d)
+				}
+			}
+		}
+	}
+
+	m, n := 7, 3
+	a := make([]float64, m*n)
+	x := make([]float64, m)
+	x[5] = math.Inf(1)
+	y := []float64{0, math.NaN(), 1}
+	Ger(m, n, 1, x, 1, y, 1, a, m)
+	for i := 0; i < m; i++ {
+		if a[i] != 0 {
+			t.Fatalf("zero multiplier column touched: a[%d] = %g", i, a[i])
+		}
+		if !math.IsNaN(a[i+m]) {
+			t.Fatalf("NaN multiplier did not propagate: a[%d] = %g", i+m, a[i+m])
+		}
+	}
+	if !math.IsInf(a[5+2*m], 1) {
+		t.Fatalf("Inf in x did not reach column 2: %g", a[5+2*m])
+	}
+}
+
+// TestAxpyUnitLengths checks the unit-stride axpy behind Ger, Trmv and the
+// small Trsm leaves at every vector tail length, and that it writes no
+// element of y past len(x).
+func TestAxpyUnitLengths(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for n := 0; n <= 37; n++ {
+		x := randSlice(rng, n)
+		y := randSlice(rng, n+3)
+		want := append([]float64(nil), y...)
+		for i := range x {
+			want[i] += 1.25 * x[i]
+		}
+		axpyUnit(1.25, x, y)
+		if d := maxAbsDiff(y[:n], want[:n]); d > tol64 {
+			t.Errorf("n=%d: max diff %g", n, d)
+		}
+		for i := n; i < n+3; i++ {
+			if y[i] != want[i] {
+				t.Errorf("n=%d: y[%d] written past len(x)", n, i)
+			}
+		}
+	}
+}
+
 func TestSymv(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	n := 11

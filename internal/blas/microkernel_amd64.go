@@ -16,6 +16,20 @@ package blas
 //go:noescape
 func microKern8x4F64Avx(kb int, ap, bp []float64, alpha float64, c []float64, ldc int)
 
+// axpyF64Avx computes y[i] += alpha·x[i] for i < len(x) with YMM FMA
+// (len(y) ≥ len(x)). Implemented in microkernel_amd64.s.
+//
+//go:noescape
+func axpyF64Avx(alpha float64, x, y []float64)
+
+// gerF64Avx computes the rank-1 update A += alpha·x·yᵀ of the m×n
+// column-major A (leading dimension lda, y stride incY > 0) with YMM FMA,
+// skipping columns whose multiplier alpha·y[j] is exactly zero.
+// Implemented in microkernel_amd64.s.
+//
+//go:noescape
+func gerF64Avx(m, n int, x, y []float64, incY int, alpha float64, a []float64, lda int)
+
 // cpuidex executes CPUID with the given leaf/subleaf.
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

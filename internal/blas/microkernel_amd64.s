@@ -149,3 +149,137 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// func axpyF64Avx(alpha float64, x, y []float64)
+//
+// y[i] += alpha·x[i] for i < len(x), one FMA (single rounding) per
+// element: 16 elements per pass in four YMM registers, then 4 at a time,
+// then a scalar tail. len(y) ≥ len(x) is the caller's guarantee.
+TEXT ·axpyF64Avx(SB), NOSPLIT, $0-56
+	VBROADCASTSD alpha+0(FP), Y0
+	MOVQ         x_base+8(FP), SI
+	MOVQ         x_len+16(FP), CX
+	MOVQ         y_base+32(FP), DI
+
+	MOVQ CX, AX
+	SHRQ $4, AX
+	JZ   quad
+
+loop16:
+	VMOVUPD     (DI), Y1
+	VMOVUPD     32(DI), Y2
+	VMOVUPD     64(DI), Y3
+	VMOVUPD     96(DI), Y4
+	VFMADD231PD (SI), Y0, Y1
+	VFMADD231PD 32(SI), Y0, Y2
+	VFMADD231PD 64(SI), Y0, Y3
+	VFMADD231PD 96(SI), Y0, Y4
+	VMOVUPD     Y1, (DI)
+	VMOVUPD     Y2, 32(DI)
+	VMOVUPD     Y3, 64(DI)
+	VMOVUPD     Y4, 96(DI)
+	ADDQ        $128, SI
+	ADDQ        $128, DI
+	DECQ        AX
+	JNZ         loop16
+
+quad:
+	MOVQ CX, AX
+	ANDQ $15, AX
+	SHRQ $2, AX
+	JZ   single
+
+loop4:
+	VMOVUPD     (DI), Y1
+	VFMADD231PD (SI), Y0, Y1
+	VMOVUPD     Y1, (DI)
+	ADDQ        $32, SI
+	ADDQ        $32, DI
+	DECQ        AX
+	JNZ         loop4
+
+single:
+	ANDQ $3, CX
+	JZ   done
+
+loop1:
+	VMOVSD      (DI), X1
+	VFMADD231SD (SI), X0, X1
+	VMOVSD      X1, (DI)
+	ADDQ        $8, SI
+	ADDQ        $8, DI
+	DECQ        CX
+	JNZ         loop1
+
+done:
+	VZEROUPPER
+	RET
+
+// func gerF64Avx(m, n int, x []float64, y []float64, incY int, alpha float64, a []float64, lda int)
+//
+// Rank-1 update A += α·x·yᵀ of the m×n column-major A, one column at a
+// time: the column's multiplier α·y[j] is broadcast and the column gets
+// one FMA per element (4 per YMM op, then a scalar tail). Columns whose
+// multiplier is exactly zero are skipped, as in the Go Ger. incY > 0, and
+// the caller has checked every bound.
+TEXT ·gerF64Avx(SB), NOSPLIT, $0-112
+	MOVQ         m+0(FP), R9
+	MOVQ         n+8(FP), R10
+	MOVQ         x_base+16(FP), R11
+	MOVQ         y_base+40(FP), R12
+	MOVQ         incY+64(FP), R13
+	SHLQ         $3, R13
+	VMOVSD       alpha+72(FP), X15
+	MOVQ         a_base+80(FP), R8
+	MOVQ         lda+104(FP), BX
+	SHLQ         $3, BX
+	VXORPD       X14, X14, X14
+	TESTQ        R10, R10
+	JZ           gdone
+
+gcol:
+	VMULSD       (R12), X15, X0
+	VUCOMISD     X14, X0
+	JP           gnonzero
+	JEQ          gnext
+
+gnonzero:
+	VBROADCASTSD X0, Y0
+	MOVQ         R11, SI
+	MOVQ         R8, DI
+	MOVQ         R9, CX
+	SHRQ         $2, CX
+	JZ           gtail
+
+gloop4:
+	VMOVUPD      (DI), Y1
+	VFMADD231PD  (SI), Y0, Y1
+	VMOVUPD      Y1, (DI)
+	ADDQ         $32, SI
+	ADDQ         $32, DI
+	DECQ         CX
+	JNZ          gloop4
+
+gtail:
+	MOVQ         R9, CX
+	ANDQ         $3, CX
+	JZ           gnext
+
+gloop1:
+	VMOVSD       (DI), X1
+	VFMADD231SD  (SI), X0, X1
+	VMOVSD       X1, (DI)
+	ADDQ         $8, SI
+	ADDQ         $8, DI
+	DECQ         CX
+	JNZ          gloop1
+
+gnext:
+	ADDQ         R13, R12
+	ADDQ         BX, R8
+	DECQ         R10
+	JNZ          gcol
+
+gdone:
+	VZEROUPPER
+	RET

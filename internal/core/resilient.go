@@ -57,8 +57,9 @@ type FTOptions struct {
 	// InjectHook, if non-nil, is called once per panel step between the
 	// step's checksum snapshot and its verification, with write access to
 	// the step's panel tiles (Cholesky: column k at and below the
-	// diagonal; LU: the tiles finalized by step k). Tests and the
-	// exabench fault driver use it to corrupt data mid-factorization.
+	// diagonal; LU: the tiles finalized by step k). Calls run one at a
+	// time, in step order. Tests and the exabench fault driver use it to
+	// corrupt data mid-factorization.
 	InjectHook func(step int, a *tile.Matrix[float64])
 	// Stats, if non-nil, accumulates detection/correction counts.
 	Stats *ft.Stats
@@ -166,6 +167,11 @@ type sumHandle struct {
 
 func (st *resilientState) handle(i, j int) sched.Handle { return sumHandle{st, i, j} }
 
+// hookHandle is written by every inject task, so InjectHook calls run one
+// at a time in step order even when their steps' tiles are disjoint: the
+// hook is caller code and need not be safe for concurrent use.
+func (st *resilientState) hookHandle() sched.Handle { return sumHandle{st, -1, -1} }
+
 func (st *resilientState) sum(i, j int) []float64 { return st.sums[i+j*st.a.MT] }
 
 // maxAbsLower returns the max-abs norm over the referenced (lower) region
@@ -268,7 +274,7 @@ func submitResilientCholesky(s sched.Scheduler, st *resilientState) {
 			}),
 		})
 		if st.opt.InjectHook != nil {
-			writes := []sched.Handle{a.Handle(k, k)}
+			writes := []sched.Handle{st.hookHandle(), a.Handle(k, k)}
 			for i := k + 1; i < a.MT; i++ {
 				writes = append(writes, a.Handle(i, k))
 			}
@@ -602,7 +608,7 @@ func submitLURecords(s sched.Scheduler, st *resilientState) {
 			})
 		}
 		if st.opt.InjectHook != nil {
-			writes := make([]sched.Handle, 0, len(tiles))
+			writes := []sched.Handle{st.hookHandle()}
 			for _, t := range tiles {
 				writes = append(writes, a.Handle(t[0], t[1]))
 			}

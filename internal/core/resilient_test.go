@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"exadla/internal/blas"
 	"exadla/internal/core"
@@ -334,6 +336,51 @@ func TestResilientLURecoversFromInjection(t *testing.T) {
 	}
 	if diff > 1e-6 {
 		t.Errorf("solution error %g after recovery", diff)
+	}
+}
+
+// TestInjectHookCallsSerialized: steps whose tiles are disjoint have no
+// data dependence, yet InjectHook must still run one call at a time, in
+// step order — the hook is caller code and not required to be safe for
+// concurrent use. The hook sleeps to widen any overlap window.
+func TestInjectHookCallsSerialized(t *testing.T) {
+	const n, nb = 240, 48
+	rng := rand.New(rand.NewSource(46))
+	aD := matgen.DiagDomSPD[float64](rng, n)
+	var inFlight, overlaps atomic.Int32
+	var steps []int
+	hook := func(step int, _ *tile.Matrix[float64]) {
+		if inFlight.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		time.Sleep(2 * time.Millisecond)
+		steps = append(steps, step) // unsynchronized on purpose: -race checks the ordering
+		inFlight.Add(-1)
+	}
+	for _, name := range []string{"lu", "cholesky"} {
+		steps, overlaps = nil, atomic.Int32{}
+		opt := core.FTOptions{InjectHook: hook}
+		r := sched.New(4)
+		a := tile.FromColMajor(n, n, append([]float64(nil), aD...), n, nb)
+		var err error
+		if name == "lu" {
+			_, err = core.ResilientLU(r, a, opt)
+		} else {
+			err = core.ResilientCholesky(r, a, opt)
+		}
+		r.Shutdown()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if o := overlaps.Load(); o != 0 {
+			t.Errorf("%s: %d InjectHook calls overlapped another", name, o)
+		}
+		for i, k := range steps {
+			if k != i {
+				t.Errorf("%s: hook steps %v, want 0..%d in order", name, steps, n/nb-1)
+				break
+			}
+		}
 	}
 }
 
